@@ -10,7 +10,9 @@ from .base import Experiment, ExperimentResult
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
     result = ExperimentResult("fig14_orgs")
-    spots = organization_affinity(ctx, "pandora", year=2013, month=2)
+    spots = []
+    if "pandora" in ctx.dataset.active_families and ctx.family_attacks("pandora").size:
+        spots = organization_affinity(ctx, "pandora", year=2013, month=2)
     result.add("pandora Feb-2013 organizations hit", None, len(spots))
     if spots:
         hotspot = spots[0]

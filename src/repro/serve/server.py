@@ -37,6 +37,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "ddos-repro-serve"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence the default stderr access log (metrics replace it)."""

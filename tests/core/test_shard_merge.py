@@ -28,6 +28,7 @@ from repro.io.colstore import ShardedDatasetStore, append_shard
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
 
+from .merge_reference import merged_reference
 from .test_kernel_parity import _record
 
 
@@ -400,6 +401,57 @@ class TestIncrementalRemerge:
             _assert_view_equal(label, got[label], want[label])
 
 
+def _snapshot_keys(ctx: AnalysisContext) -> list:
+    return [k for k in ctx.view_keys() if str(k[0]).startswith("snapshot_dispersions")]
+
+
+class TestSnapshotDispersionsNotBuilt:
+    """No experiment reads snapshot dispersions, so the scale-out path
+    never builds them: not per shard, not at merge.  Read on the merged
+    context, the view builds lazily and equals the flat build."""
+
+    def _assert_lazy_and_flat(self, sctx, merged, ds) -> None:
+        for k in range(sctx.n_shards):
+            assert _snapshot_keys(sctx.shard_context(k)) == []
+        assert _snapshot_keys(merged) == []
+        fresh = AnalysisContext(ds)
+        families = [f for f in ds.active_families if fresh.family_attacks(f).size]
+        for fam in families:
+            _assert_view_equal(
+                f"{fam}.snapshot_dispersions",
+                merged.snapshot_dispersions(fam),
+                fresh.snapshot_dispersions(fam),
+            )
+        assert len(_snapshot_keys(merged)) == len(families)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_full_merge(self, small_ds, k):
+        sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
+        sctx.build(jobs=1)
+        for i in range(k):
+            assert _snapshot_keys(sctx.shard_context(i)) == []
+        self._assert_lazy_and_flat(sctx, sctx.merged(), small_ds)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_append_then_remerge(self, small_ds, k, tmp_path):
+        tail = _append_store(tmp_path / "store", small_ds, k)
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
+        sctx.build(jobs=1)
+        prev = sctx.merged()
+        families = [f for f in prev.dataset.active_families if prev.family_attacks(f).size]
+        # Read on the pre-append context too: the re-merge must not
+        # carry those series over.
+        for fam in families:
+            prev.snapshot_dispersions(fam)
+
+        append_shard(tmp_path / "store", tail)
+        assert sctx.refresh() == 1
+        sctx.build_shard(k)
+        merged = sctx.merged()
+        assert sctx.last_merge_stats["mode"] == "incremental"
+        self._assert_lazy_and_flat(sctx, merged, small_ds)
+
+
 class TestReferenceFoldParity:
     """merged() against the retained serial reference fold."""
 
@@ -408,7 +460,7 @@ class TestReferenceFoldParity:
         sctx = ShardedAnalysisContext(ShardedDatasetStore.partition(small_ds, shards=k))
         sctx.build(jobs=1)
         merged = sctx.merged()
-        reference = sctx.merged_reference()
+        reference = merged_reference(sctx)
         families = [
             f for f in small_ds.active_families if AnalysisContext(small_ds).family_attacks(f).size
         ]

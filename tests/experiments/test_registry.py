@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import ALL_EXPERIMENTS, get_experiment, run_all
+from repro.io.ingest import dataset_from_records
 
 
 class TestRegistry:
@@ -27,6 +28,19 @@ class TestRegistry:
             assert result.rows, f"{result.experiment_id} produced no rows"
             rendered = result.render()
             assert result.experiment_id in rendered
+
+    def test_every_experiment_runs_without_pandora(self, small_ds):
+        """An ingested dataset that never saw Pandora (as in an early
+        stream epoch) has no such family; fig14 must not raise."""
+        records = [r for r in small_ds.iter_attacks() if r.family != "pandora"]
+        ds = dataset_from_records(records, small_ds.window)
+        assert "pandora" not in ds.families
+        results = run_all(ds)
+        assert len(results) == 18
+        for result in results:
+            assert result.rows, f"{result.experiment_id} produced no rows"
+        fig14 = next(r for r in results if r.experiment_id == "fig14_orgs")
+        assert fig14.rows[0].measured == "0"
 
     @pytest.mark.parametrize("exp_id", [
         "table2_protocols", "table3_summary", "fig2_daily", "fig7_durations",

@@ -296,6 +296,27 @@ class TestParity:
         ]
         assert [(e["id"], e["render"]) for e in served["experiments"]] == local
 
+    def test_epoch_without_pandora_matches_local_run_all(self, server, tiny_ds):
+        """An epoch that has not interned ``pandora`` answers 200 (fig14
+        renders 0 hotspots), byte-identical to the local battery."""
+        records = [r for r in tiny_ds.iter_attacks() if r.family != "pandora"]
+        rows = [record_to_json(r) for r in records]
+        status, _, _ = _call(
+            server.url, "POST", "/v1/ingest?tenant=np", {"records": rows}
+        )
+        assert status == 200
+        status, served, _ = _call(server.url, "GET", "/v1/experiments?tenant=np")
+        assert status == 200
+
+        stream = api.stream()
+        stream.append_batch(records)
+        assert "pandora" not in stream.dataset().families
+        local = [
+            (r.experiment_id, r.render()) for r in api.run_all(stream.context())
+        ]
+        assert len(local) == 18
+        assert [(e["id"], e["render"]) for e in served["experiments"]] == local
+
     def test_render_cache_is_stable_across_reads(self, server, rows):
         base = server.url
         _call(base, "POST", "/v1/ingest?tenant=p2", {"records": rows[:30]})
@@ -305,6 +326,13 @@ class TestParity:
 
 
 class TestLifecycle:
+    def test_handler_disables_nagle(self):
+        """Headers and body are two writes; with Nagle on, each
+        keep-alive response stalls on the client's delayed ACK."""
+        from repro.serve.server import _Handler
+
+        assert _Handler.disable_nagle_algorithm is True
+
     def test_context_manager_binds_and_stops(self):
         with AnalysisServer(port=0) as srv:
             assert srv.port > 0
