@@ -477,22 +477,17 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             print(f"{experiment.id:<24s} {experiment.section:<28s} {experiment.title}")
         return 0
     config = _config(args)
-    shard_layout = None
     if args.shards is not None:
         from .core.context import ShardedAnalysisContext
-        from .io.cache import MergeCache, load_or_generate
+        from .io.cache import load_or_generate
         from .io.colstore import ShardedDatasetStore
 
         store = ShardedDatasetStore.partition(
             load_or_generate(config, args.cache_dir), shards=args.shards
         )
-        shard_layout = store.layout_key()
-        # Persist subtree merge results next to the dataset cache, so a
-        # repeat invocation (or one more appended shard) reuses every
-        # unchanged subtree and re-merges only the spine.
-        sctx = ShardedAnalysisContext(store, merge_cache=MergeCache(args.cache_dir))
+        sctx = ShardedAnalysisContext(store)
         sctx.build(jobs=args.jobs)
-        ctx = sctx.merged(jobs=args.jobs)
+        ctx = sctx.merged()
     else:
         ctx = load_or_generate_context(config, args.cache_dir)
     args._manifest_dataset = ctx.dataset
@@ -507,7 +502,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for result in run_all(ctx, jobs=args.jobs):
             print(result.render())
             print()
-    save_context_views(ctx, config, args.cache_dir, shard_layout=shard_layout)
+    if args.shards is None:
+        # The sharded path re-partitions in memory every run and never
+        # reads a snapshot, so only the flat path writes one.
+        save_context_views(ctx, config, args.cache_dir)
     return 0
 
 

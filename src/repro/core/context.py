@@ -652,22 +652,24 @@ class ShardedAnalysisContext:
     build lazily with the flat kernel over the merged dataset, which is
     the unsharded computation itself.
 
-    The reduce is tree-structured: the small re-reduction state of every
-    shard (:class:`~repro.core.merge.ShardPartial`) combines over
-    :func:`repro.par.tree_reduce` — ~log2(K) parallel levels instead of
-    a serial left-fold — with subtree results memoized in-process and,
-    when a :class:`~repro.io.cache.MergeCache` is supplied, on disk.
-    After :meth:`refresh` picks up appended shards, :meth:`merged`
-    re-merges incrementally: cached subtrees cover the untouched prefix,
-    the previous merged context is reused as one big left operand, and
-    only the new shard seams are re-stitched.
+    The reduce is a serial left fold: the small re-reduction state of
+    every shard (:class:`~repro.core.merge.ShardPartial`) combines left
+    to right, then one finalizer concatenates the linear-size views over
+    an ordered list of parts.  The only memo is the previous merge — its
+    shard signatures, merged context and folded partial.  After
+    :meth:`refresh` picks up appended shards, :meth:`merged` folds just
+    the new shards onto the previous partial and, when the layout
+    allows it, leads the finalizer with the previous merged context, so
+    only the new shards' rows are copied and only the new seams are
+    re-stitched.
 
     Observability: each per-shard build runs under a ``shard:<i>`` span
     inside the ``shard.build`` stage; the merge runs under
     ``shard.merge`` and ticks ``shard.merge.views`` per seeded view,
     ``shard.merge.stitched_targets`` per boundary-stitched target,
-    ``shard.merge.levels`` per parallel combine round and
-    ``shard.merge.reused`` per memoized subtree served.
+    ``shard.merge.levels`` per combine the fold ran and
+    ``shard.merge.reused`` once when the fold started from the previous
+    merge's partial.
 
     >>> from repro import api
     >>> from repro.io.colstore import ShardedDatasetStore
@@ -678,25 +680,24 @@ class ShardedAnalysisContext:
     True
     """
 
-    def __init__(self, store, *, merge_cache=None) -> None:
+    def __init__(self, store) -> None:
         self._store = store
-        self._merge_cache = merge_cache
         self._shard_ctxs: list[AnalysisContext | None] = [None] * store.n_shards
         self._merged: AnalysisContext | None = None
         self._shared_coords: tuple[np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
-        #: Memoized subtree partials keyed by half-open shard range.
-        self._partials: dict[tuple[int, int], Any] = {}
-        #: The last finalised merge: (shard signatures, merged context).
-        self._finalized: tuple[tuple, AnalysisContext] | None = None
+        #: The last finalised merge: (shard signatures, merged context,
+        #: folded partial).  The next merge folds appended shards onto it.
+        self._finalized: tuple[tuple, AnalysisContext, Any] | None = None
         #: Merged columns with reserved tail capacity so an append only
         #: copies the new shard's rows (see colstore.GrowableConcat).
         self._growable: _colstore.GrowableConcat | None = None
         #: Concat-shaped merged views in growable buffers, keyed by view
-        #: key; the incremental merge extends these in place.
+        #: key; the next finalize extends these in place.
         self._view_bufs: dict[Hashable, Any] = {}
         #: What the last :meth:`merged` call actually did (diagnostics):
-        #: ``{"mode": "full" | "incremental", "levels", "reused", "combined"}``.
+        #: ``{"mode": "full" | "incremental" | "unchanged", "levels",
+        #: "reused", "combined"}``.
         self.last_merge_stats: dict[str, Any] | None = None
 
     @property
@@ -712,11 +713,11 @@ class ShardedAnalysisContext:
 
         Re-reads the store's manifest; appended shards get fresh (lazy)
         contexts while every already-built shard keeps its views, so the
-        next :meth:`merged` call only maps the new shards and re-merges
-        the O(log K) spine.  If the append rewrote the shared registries
-        (new families/bots/victims interned), all per-shard state is
-        reset — the old contexts index into the old registries.  Returns
-        the number of shards adopted.
+        next :meth:`merged` call only maps the new shards and folds them
+        onto the previous merge.  If the append rewrote the shared
+        registries (new families/bots/victims interned), all per-shard
+        state and the previous merge are reset — the old contexts index
+        into the old registries.  Returns the number of shards adopted.
         """
         refresh_store = getattr(self._store, "refresh", None)
         if refresh_store is None:
@@ -726,7 +727,6 @@ class ShardedAnalysisContext:
             if reset:
                 self._shard_ctxs = [None] * self._store.n_shards
                 self._shared_coords = None
-                self._partials = {}
                 self._finalized = None
                 self._merged = None
             elif appended:
@@ -759,9 +759,7 @@ class ShardedAnalysisContext:
 
     def shard_families(self, index: int) -> list[str]:
         """Families with at least one attack in shard ``index``."""
-        ctx = self.shard_context(index)
-        groups = ctx._groups_by("family_attack_index", ctx.dataset.family_idx)
-        return [ctx.dataset.family_name(k) for k in sorted(groups)]
+        return _present_families(self.shard_context(index))
 
     def shard_scan_events(self, index: int, kind: str) -> list:
         """One shard's collaboration/chain events, rebased to global rows.
@@ -824,106 +822,61 @@ class ShardedAnalysisContext:
             self._store.shard_signature(k) for k in range(self.n_shards)
         )
 
-    def _reduce_partials(self, jobs: int | None):
-        """Tree-reduce the per-shard partials; returns (partial, stats).
-
-        Subtree results memoize in ``self._partials`` (keyed by shard
-        range — shards are immutable, so ranges never go stale within a
-        store lineage) and, when a merge cache was supplied, on disk
-        keyed by the range's shard signatures.  Spine prefixes are
-        memoized too, so a repeat merge is a single lookup.
-        """
-        from .. import par
-        from . import merge as _merge
-
-        sigs = self._signatures()
-        window = self._store.window
-        cache = self._merge_cache
-        memo = self._partials
-
-        def fingerprint(lo: int, hi: int) -> tuple:
-            return ((float(window.start), float(window.end)), sigs[lo:hi])
-
-        def lookup(lo: int, hi: int):
-            value = memo.get((lo, hi))
-            if value is not None:
-                return value
-            if cache is not None and hi - lo > 1:
-                value = cache.load("partial", fingerprint(lo, hi))
-                if value is not None:
-                    memo[(lo, hi)] = value
-            return value
-
-        def store(lo: int, hi: int, value) -> None:
-            memo[(lo, hi)] = value
-            if cache is not None:
-                cache.save("partial", fingerprint(lo, hi), value)
-
-        def leaf(index: int):
-            partial = _merge.make_shard_partial(
-                self.shard_context(index), self.shard_families(index), index
-            )
-            memo[(index, index + 1)] = partial
-            return partial
-
-        return par.tree_reduce(
-            self.n_shards,
-            leaf,
-            _merge.combine_partials,
-            jobs=par.resolve_jobs(jobs),
-            lookup=lookup,
-            store=store,
-            label="shard_merge",
-        )
-
     def merged(self, jobs: int | None = 1) -> AnalysisContext:
         """The merged context: every mergeable view seeded, bitwise equal
         to an unsharded build over the concatenated dataset.
 
-        The re-reduction views combine through a memoized tree reduce
-        (``jobs`` bounds the per-level fan-out); the boundary stitch is
-        the vectorised crossing-run pass of
-        :func:`repro.core.merge.stitch_scan_events`.  After
-        :meth:`refresh` adopted appended shards, the previous merged
-        context is extended incrementally when the layout allows it
-        (same window/registries, non-empty new shards) — only the new
-        seams are stitched.
+        The shard partials fold serially, left to right, so ``jobs`` is
+        unused; it is accepted for callers that pass it.  When the
+        previous merge's shard signatures are a prefix of the current
+        ones (after :meth:`refresh` adopted appended shards), the fold
+        starts from the previous merge's partial, and the previous merged
+        context is extended when the layout allows it (same
+        window/registries, non-empty new shards) — only the new seams
+        are stitched.
         """
+        from . import merge as _merge
+
         if self._merged is not None:
             return self._merged
 
         for index in range(self.n_shards):
             self.build_shard(index)
 
+        def leaf(index: int):
+            return _merge.make_shard_partial(
+                self.shard_context(index), self.shard_families(index), index
+            )
+
         reg = _obs_registry()
         with reg.span("shard.merge"):
             sigs = self._signatures()
-            partial, stats = self._reduce_partials(jobs)
-            reg.counter("shard.merge.levels").inc(stats.levels)
-            reg.counter("shard.merge.reused").inc(stats.reused)
-            mode = "full"
-            ctx: AnalysisContext | None = None
-            if self._finalized is not None:
-                prev_sigs, prev_ctx = self._finalized
-                n_prev = len(prev_sigs)
-                if sigs == prev_sigs:
-                    ctx = prev_ctx
-                    mode = "unchanged"
-                elif (
-                    0 < n_prev < self.n_shards
-                    and sigs[:n_prev] == prev_sigs
-                    and self._append_compatible(prev_ctx, n_prev)
-                ):
-                    ctx = self._finalize_append(prev_ctx, n_prev, partial)
-                    mode = "incremental"
-            if ctx is None:
-                ctx = self._finalize_full(partial)
-            self._finalized = (sigs, ctx)
+            prev = self._finalized
+            n_prev = 0
+            if prev is not None and sigs[: len(prev[0])] == prev[0]:
+                n_prev = len(prev[0])
+            partial = prev[2] if n_prev else leaf(0)
+            first = max(n_prev, 1)
+            for index in range(first, self.n_shards):
+                partial = _merge.combine_partials(partial, leaf(index))
+            combined = self.n_shards - first
+            shards = [self.shard_context(k) for k in range(self.n_shards)]
+            if n_prev == self.n_shards:
+                ctx, mode = prev[1], "unchanged"
+            elif n_prev and self._append_compatible(prev[1], n_prev):
+                ctx = self._finalize([prev[1], *shards[n_prev:]], partial, n_prev)
+                mode = "incremental"
+            else:
+                ctx, mode = self._finalize(shards, partial, 0), "full"
+            reused = int(n_prev > 0)
+            reg.counter("shard.merge.levels").inc(combined)
+            reg.counter("shard.merge.reused").inc(reused)
+            self._finalized = (sigs, ctx, partial)
             self.last_merge_stats = {
                 "mode": mode,
-                "levels": stats.levels,
-                "reused": stats.reused,
-                "combined": stats.combined,
+                "levels": combined,
+                "reused": reused,
+                "combined": combined,
             }
             self._merged = ctx
         return self._merged
@@ -948,54 +901,63 @@ class ShardedAnalysisContext:
                 return False
         return True
 
-    def _grow(self, key: Hashable, pieces: list[np.ndarray]) -> np.ndarray:
-        """Concatenate ``pieces`` into a fresh growable buffer under ``key``.
+    def _finalize(
+        self, parts: list[AnalysisContext], partial, n_prev: int
+    ) -> AnalysisContext:
+        """Assemble the merged context over ``parts``, in time order.
 
-        Bitwise the same array ``np.concatenate(pieces)`` yields (one
-        copy of each piece, in order), but with reserved tail capacity
-        so :meth:`_regrow` can extend it in place on the next append.
+        ``parts`` is every shard context (``n_prev == 0``), or the
+        previous merged context — covering shards ``< n_prev`` — followed
+        by the contexts of shards ``n_prev..``.  Every linear-size view
+        concatenates over the parts into a growable buffer; when the
+        leading part's view is the buffer the previous merge left, only
+        the later parts are copied into its reserved tail.  The scan
+        stitch is the one step that differs: with a previous context it
+        probes just the new seams.  Snapshot dispersions are never
+        seeded; the merged context builds them lazily if read.
         """
-        from . import merge as _merge
-
-        if not pieces:
-            return np.zeros(0)
-        gb = _merge.GrowBuffer(pieces)
-        self._view_bufs[key] = gb
-        return gb.view
-
-    def _regrow(
-        self, key: Hashable, prev: np.ndarray, pieces: list[np.ndarray]
-    ) -> np.ndarray:
-        """Extend ``key``'s buffer by ``pieces`` when ``prev`` is its view.
-
-        Falls back to a fresh buffer (one full copy, headroom restored)
-        when the buffer is missing, was superseded, or is out of room.
-        """
-        gb = self._view_bufs.get(key)
-        if gb is not None and gb.view is prev:
-            out = gb.extend(pieces)
-            if out is not None:
-                return out
-        return self._grow(key, [prev, *pieces])
-
-    def _finalize_full(self, partial) -> AnalysisContext:
-        """Assemble the merged context from scratch (all K shards)."""
         from . import merge as _merge
         from . import shift as _shift
         from ..io import colstore as _colstore
 
         reg = _obs_registry()
         merged_views = reg.counter("shard.merge.views")
-        shards = [self.shard_context(k) for k in range(self.n_shards)]
-        self._growable = _colstore.GrowableConcat([c.dataset for c in shards])
-        self._view_bufs = {}
-        ds = self._growable.dataset
+        lead, rest = parts[0], parts[1:]
+        ds = None
+        if self._growable is not None and self._growable.dataset is lead.dataset:
+            ds = self._growable.extend([c.dataset for c in rest])
+        if ds is None:
+            # A shard leads, or the headroom is exhausted: one full copy,
+            # which also restores the reserve.
+            self._growable = _colstore.GrowableConcat([c.dataset for c in parts])
+            ds = self._growable.dataset
         ctx = AnalysisContext.of(ds)
-        bases = [int(b) for b in self._store.shard_bases()]
+        bases = [0]
+        for part in parts[:-1]:
+            bases.append(bases[-1] + int(part.dataset.n_attacks))
+        old_bufs, self._view_bufs = self._view_bufs, {}
+
+        def buffer(key: Hashable, head: np.ndarray, pieces: list) -> np.ndarray:
+            """``np.concatenate([head, *pieces])``, held in a growable buffer.
+
+            Extends ``key``'s previous buffer in place when ``head`` is
+            its view; otherwise (``head`` is a shard's view, the buffer
+            was superseded or is out of room) copies into a fresh one.
+            """
+            gb = old_bufs.get(key)
+            out = gb.extend(pieces) if gb is not None and gb.view is head else None
+            if out is None:
+                gb = _merge.GrowBuffer([head, *pieces])
+                out = gb.view
+            self._view_bufs[key] = gb
+            return out
 
         def seed(key: Hashable, value: Any) -> None:
             if ctx.seed_view(key, value):
                 merged_views.inc()
+
+        def day_column(part_ds) -> np.ndarray:
+            return ((part_ds.start - ds.window.start) // 86400).astype(np.int64)
 
         seed(("bot_coords_radians",), self._shared_bot_coords())
         grouped_by_target: dict[int, np.ndarray] = {}
@@ -1004,124 +966,44 @@ class ShardedAnalysisContext:
             ("botnet_attack_index", "botnet_id"),
             ("target_attack_index", "target_idx"),
         ):
-            parts = [
-                c._groups_by(gkey, getattr(c.dataset, column)) for c in shards
-            ]
-            groups = _merge.merge_grouped_indices(parts, bases)
+            groups = _merge.merge_grouped_indices(
+                [c._groups_by(gkey, getattr(c.dataset, column)) for c in parts],
+                bases,
+            )
             seed((gkey,), groups)
             if gkey == "target_attack_index":
                 grouped_by_target = groups
+        # An empty leading diff array makes interval_pieces yield only
+        # what follows the lead: one gap per seam plus the later parts'
+        # gap arrays.
+        empty = np.zeros(0)
         seed(
             ("attack_intervals",),
-            self._grow(
+            buffer(
                 ("attack_intervals",),
+                lead.attack_intervals(),
                 _merge.interval_pieces(
-                    [c.dataset.start for c in shards],
-                    [c.attack_intervals() for c in shards],
+                    [c.dataset.start for c in parts],
+                    [empty, *(c.attack_intervals() for c in rest)],
                 ),
             ),
         )
-        seed(
-            ("durations",),
-            self._grow(("durations",), [c.durations() for c in shards]),
-        )
-        seed(
-            ("target_country_idx",),
-            self._grow(
-                ("target_country_idx",),
-                [c.target_country_idx() for c in shards],
-            ),
-        )
-        seed(
-            ("target_org_idx",),
-            self._grow(("target_org_idx",), [c.target_org_idx() for c in shards]),
-        )
-        days = self._grow(
+        for name in ("durations", "target_country_idx", "target_org_idx"):
+            seed(
+                (name,),
+                buffer(
+                    (name,),
+                    getattr(lead, name)(),
+                    [getattr(c, name)() for c in rest],
+                ),
+            )
+        # The per-attack day column lets the busiest-day re-derivation
+        # skip its full-column pass; a previous merge left it buffered.
+        days = buffer(
             ("daily_days",),
-            [((ds.start - ds.window.start) // 86400).astype(np.int64)],
+            old_bufs[("daily_days",)].view if n_prev else day_column(lead.dataset),
+            [day_column(c.dataset) for c in rest],
         )
-        self._seed_partial_views(ctx, seed, partial, ds, days)
-        # Walks ascending org order over the seeded marginal — the
-        # same order the unsharded builder uses.
-        ctx.victim_org_type_counts()
-
-        self._seed_stitched_scans(
-            ctx,
-            seed,
-            ds,
-            grouped_by_target,
-            bases,
-            lambda kind: [
-                self.shard_scan_events(k, kind) for k in range(self.n_shards)
-            ],
-            prev_events=None,
-        )
-
-        present: dict[str, list[int]] = {}
-        for k in range(self.n_shards):
-            for family in self.shard_families(k):
-                present.setdefault(family, []).append(k)
-        for family, in_shards in present.items():
-            here = [shards[k] for k in in_shards]
-            starts_parts = [c.family_starts(family) for c in here]
-            seed(
-                ("family_starts", family),
-                self._grow(("family_starts", family), starts_parts),
-            )
-            seed(
-                ("family_intervals", family, True),
-                self._grow(
-                    ("family_intervals", family, True),
-                    _merge.interval_pieces(
-                        starts_parts,
-                        [c.family_intervals(family) for c in here],
-                    ),
-                ),
-            )
-            seed(
-                ("durations", family),
-                self._grow(
-                    ("durations", family), [c.durations(family) for c in here]
-                ),
-            )
-            off_pieces, flat_pieces = _merge.csr_pieces(
-                [c.family_participants(family) for c in here]
-            )
-            fp_key = ("family_participants", family)
-            seed(
-                fp_key,
-                (
-                    self._grow((fp_key, 0), off_pieces),
-                    self._grow((fp_key, 1), flat_pieces),
-                ),
-            )
-            disp = [c.attack_dispersions(family) for c in here]
-            disp_key = ("attack_dispersions", family)
-            seed(
-                disp_key,
-                (
-                    self._grow((disp_key, 0), [p[0] for p in disp]),
-                    self._grow((disp_key, 1), [p[1] for p in disp]),
-                ),
-            )
-            self._seed_partial_family_views(seed, partial, ds, family)
-            pairs = partial.weekly_pairs[family]
-            seed(("weekly_shift_pairs", family), pairs)
-            seed(
-                ("weekly_shift", family),
-                _shift._finish_weekly_shift(ds, family, *pairs),
-            )
-        return ctx
-
-    def _seed_partial_views(self, ctx, seed, partial, ds, days=None) -> None:
-        """Seed the global re-reduction views from the tree partial.
-
-        ``days`` optionally passes the per-attack day column kept in a
-        growable buffer so the busiest-day re-derivation skips its
-        full-column pass on re-merges.
-        """
-        from . import merge as _merge
-
         seed(("target_country_counts",), partial.target_country_counts)
         seed(("target_org_counts",), partial.target_org_counts)
         seed(("protocol_breakdown",), partial.protocol_breakdown)
@@ -1132,284 +1014,99 @@ class ShardedAnalysisContext:
                 partial.daily_counts[None], ds, None, days=days
             ),
         )
+        # Walks ascending org order over the seeded marginal — the
+        # same order the unsharded builder uses.
+        ctx.victim_org_type_counts()
 
-    def _seed_partial_family_views(self, seed, partial, ds, family: str) -> None:
-        from . import merge as _merge
-
-        seed(
-            ("family_target_country_counts", family),
-            partial.family_country_counts[family],
-        )
-        seed(
-            ("daily_distribution", family),
-            _merge.finish_daily_distribution(
-                partial.daily_counts[family], ds, family
-            ),
-        )
-
-    def _seed_stitched_scans(
-        self, ctx, seed, ds, grouped_by_target, bases, parts_of, prev_events
-    ) -> None:
-        """Seed collaborations/chains via the vectorised boundary stitch."""
-        from . import merge as _merge
-
-        reg = _obs_registry()
         stitched_targets: set[int] = set()
         for kind in ("collaborations", "chains"):
-            if prev_events is None:
-                events, targets = _merge.stitch_scan_events(
-                    parts_of(kind), ds, grouped_by_target, bases, kind
-                )
-            else:
+            new_events = [
+                self.shard_scan_events(k, kind) for k in range(n_prev, self.n_shards)
+            ]
+            if n_prev:
                 events, targets = _merge.seam_stitch_scan_events(
-                    prev_events[kind],
-                    parts_of(kind),
+                    getattr(lead, kind)(),
+                    new_events,
                     ds,
                     grouped_by_target,
                     bases,
                     kind,
                 )
+            else:
+                events, targets = _merge.stitch_scan_events(
+                    new_events, ds, grouped_by_target, bases, kind
+                )
             stitched_targets |= targets
             seed((kind,), events)
         reg.counter("shard.merge.stitched_targets").inc(len(stitched_targets))
 
-    def _finalize_append(
-        self, prev_ctx: AnalysisContext, n_prev: int, partial
-    ) -> AnalysisContext:
-        """Extend the previous merged context by the appended shards.
-
-        The previous merged context acts as one big left operand: its
-        linear views concatenate with the new shards' views and the scan
-        stitch probes only the new seams.  Snapshot dispersions are not
-        carried over; the new context builds them lazily if read.
-        """
-        from . import merge as _merge
-        from . import shift as _shift
-        from ..io import colstore as _colstore
-
-        reg = _obs_registry()
-        merged_views = reg.counter("shard.merge.views")
-        new_indices = list(range(n_prev, self.n_shards))
-        new_shards = [self.shard_context(k) for k in new_indices]
-        pds = prev_ctx.dataset
-        ds = None
-        if self._growable is not None and self._growable.dataset is pds:
-            # Fast path: the previous merged columns sit in buffers with
-            # reserved headroom — copy only the appended shards' rows.
-            ds = self._growable.extend([c.dataset for c in new_shards])
-        if ds is None:
-            # Headroom exhausted (or prev context predates the buffers):
-            # one full copy, which also restores the reserve.
-            self._growable = _colstore.GrowableConcat(
-                [pds] + [c.dataset for c in new_shards]
-            )
-            ds = self._growable.dataset
-        ctx = AnalysisContext.of(ds)
-        bases = [0]
-        for part in [prev_ctx] + new_shards[:-1]:
-            bases.append(bases[-1] + int(part.dataset.n_attacks))
-
-        def seed(key: Hashable, value: Any) -> None:
-            if ctx.seed_view(key, value):
-                merged_views.inc()
-
-        seed(("bot_coords_radians",), self._shared_bot_coords())
-        grouped_by_target: dict[int, np.ndarray] = {}
-        for gkey, column in (
-            ("family_attack_index", "family_idx"),
-            ("botnet_attack_index", "botnet_id"),
-            ("target_attack_index", "target_idx"),
-        ):
-            parts = [
-                c._groups_by(gkey, getattr(c.dataset, column))
-                for c in [prev_ctx] + new_shards
-            ]
-            groups = _merge.merge_grouped_indices(parts, bases)
-            seed((gkey,), groups)
-            if gkey == "target_attack_index":
-                grouped_by_target = groups
-        empty = np.zeros(0)
-        seed(
-            ("attack_intervals",),
-            self._regrow(
-                ("attack_intervals",),
-                prev_ctx.attack_intervals(),
-                # An empty leading diff array yields only the pieces
-                # after the previous merged part: the seam gap plus the
-                # new shards' gap arrays.
-                _merge.interval_pieces(
-                    [pds.start] + [c.dataset.start for c in new_shards],
-                    [empty] + [c.attack_intervals() for c in new_shards],
-                ),
-            ),
-        )
-        seed(
-            ("durations",),
-            self._regrow(
-                ("durations",),
-                prev_ctx.durations(),
-                [c.durations() for c in new_shards],
-            ),
-        )
-        seed(
-            ("target_country_idx",),
-            self._regrow(
-                ("target_country_idx",),
-                prev_ctx.target_country_idx(),
-                [c.target_country_idx() for c in new_shards],
-            ),
-        )
-        seed(
-            ("target_org_idx",),
-            self._regrow(
-                ("target_org_idx",),
-                prev_ctx.target_org_idx(),
-                [c.target_org_idx() for c in new_shards],
-            ),
-        )
-        days = None
-        day_buf = self._view_bufs.get(("daily_days",))
-        if day_buf is not None and day_buf.n == pds.n_attacks:
-            days = day_buf.extend(
-                [
-                    ((c.dataset.start - ds.window.start) // 86400).astype(np.int64)
-                    for c in new_shards
-                ]
-            )
-        if days is None:
-            days = self._grow(
-                ("daily_days",),
-                [((ds.start - ds.window.start) // 86400).astype(np.int64)],
-            )
-        self._seed_partial_views(ctx, seed, partial, ds, days)
-        ctx.victim_org_type_counts()
-
-        self._seed_stitched_scans(
-            ctx,
-            seed,
-            ds,
-            grouped_by_target,
-            bases,
-            lambda kind: [self.shard_scan_events(k, kind) for k in new_indices],
-            prev_events={
-                "collaborations": prev_ctx.collaborations(),
-                "chains": prev_ctx.chains(),
-            },
-        )
-
-        prev_keys = set(prev_ctx.view_keys())
-        new_families: dict[str, list[AnalysisContext]] = {}
-        for k, shard in zip(new_indices, new_shards):
-            for family in self.shard_families(k):
-                new_families.setdefault(family, []).append(shard)
+        # Each part's own family grouping says which families it holds.
+        # A battery run on a previous merged context lazily builds empty
+        # views for families it has not seen yet, so view keys alone are
+        # no evidence that a part has rows of the family.
+        present = [set(_present_families(c)) for c in parts]
         for family in partial.families:
-            # A battery run on the previous context lazily builds empty
-            # views for families it hasn't seen yet, so key presence
-            # alone is not evidence the family has rows to extend.
-            in_prev = (
-                ("family_starts", family) in prev_keys
-                and prev_ctx.family_starts(family).size > 0
+            here = [c for c, names in zip(parts, present) if family in names]
+            head, later = here[0], here[1:]
+            starts = [c.family_starts(family) for c in here]
+            seed(
+                ("family_starts", family),
+                buffer(("family_starts", family), starts[0], starts[1:]),
             )
-            here = new_families.get(family, [])
-            new_starts = [c.family_starts(family) for c in here]
-            new_fp = [c.family_participants(family) for c in here]
-            new_disp = [c.attack_dispersions(family) for c in here]
+            seed(
+                ("family_intervals", family, True),
+                buffer(
+                    ("family_intervals", family, True),
+                    head.family_intervals(family),
+                    _merge.interval_pieces(
+                        starts, [empty, *(c.family_intervals(family) for c in later)]
+                    ),
+                ),
+            )
+            seed(
+                ("durations", family),
+                buffer(
+                    ("durations", family),
+                    head.durations(family),
+                    [c.durations(family) for c in later],
+                ),
+            )
+            # Flat entries are global bot indices; offsets continue from
+            # the flat end so far (a leading merged context's offsets are
+            # already global).
+            fp = [c.family_participants(family) for c in here]
+            off_pieces: list[np.ndarray] = []
+            base = fp[0][0][-1]
+            for offsets, _flat in fp[1:]:
+                off_pieces.append(offsets[1:] + base)
+                base = base + offsets[-1]
             fp_key = ("family_participants", family)
+            seed(
+                fp_key,
+                (
+                    buffer((fp_key, 0), fp[0][0], off_pieces),
+                    buffer((fp_key, 1), fp[0][1], [f for _o, f in fp[1:]]),
+                ),
+            )
+            disp = [c.attack_dispersions(family) for c in here]
             disp_key = ("attack_dispersions", family)
-            if in_prev:
-                prev_starts = prev_ctx.family_starts(family)
-                seed(
-                    ("family_starts", family),
-                    self._regrow(("family_starts", family), prev_starts, new_starts),
-                )
-                seed(
-                    ("family_intervals", family, True),
-                    self._regrow(
-                        ("family_intervals", family, True),
-                        prev_ctx.family_intervals(family),
-                        _merge.interval_pieces(
-                            [prev_starts] + new_starts,
-                            [empty] + [c.family_intervals(family) for c in here],
-                        ),
-                    ),
-                )
-                seed(
-                    ("durations", family),
-                    self._regrow(
-                        ("durations", family),
-                        prev_ctx.durations(family),
-                        [c.durations(family) for c in here],
-                    ),
-                )
-                # The previous offsets are already global (their own
-                # merge rebased them from zero), so rebasing the new
-                # shards' offsets continues from the previous flat end.
-                prev_fp = prev_ctx.family_participants(family)
-                off_pieces: list[np.ndarray] = []
-                base = prev_fp[0][-1]
-                for offsets, _flat in new_fp:
-                    off_pieces.append(offsets[1:] + base)
-                    base = base + offsets[-1]
-                seed(
-                    fp_key,
-                    (
-                        self._regrow((fp_key, 0), prev_fp[0], off_pieces),
-                        self._regrow(
-                            (fp_key, 1), prev_fp[1], [f for _o, f in new_fp]
-                        ),
-                    ),
-                )
-                prev_disp = prev_ctx.attack_dispersions(family)
-                seed(
-                    disp_key,
-                    (
-                        self._regrow(
-                            (disp_key, 0), prev_disp[0], [p[0] for p in new_disp]
-                        ),
-                        self._regrow(
-                            (disp_key, 1), prev_disp[1], [p[1] for p in new_disp]
-                        ),
-                    ),
-                )
-            else:
-                # Family first seen in the appended shards: fresh buffers.
-                seed(
-                    ("family_starts", family),
-                    self._grow(("family_starts", family), new_starts),
-                )
-                seed(
-                    ("family_intervals", family, True),
-                    self._grow(
-                        ("family_intervals", family, True),
-                        _merge.interval_pieces(
-                            new_starts,
-                            [c.family_intervals(family) for c in here],
-                        ),
-                    ),
-                )
-                seed(
-                    ("durations", family),
-                    self._grow(
-                        ("durations", family),
-                        [c.durations(family) for c in here],
-                    ),
-                )
-                off_pieces, flat_pieces = _merge.csr_pieces(new_fp)
-                seed(
-                    fp_key,
-                    (
-                        self._grow((fp_key, 0), off_pieces),
-                        self._grow((fp_key, 1), flat_pieces),
-                    ),
-                )
-                seed(
-                    disp_key,
-                    (
-                        self._grow((disp_key, 0), [p[0] for p in new_disp]),
-                        self._grow((disp_key, 1), [p[1] for p in new_disp]),
-                    ),
-                )
-            self._seed_partial_family_views(seed, partial, ds, family)
+            seed(
+                disp_key,
+                (
+                    buffer((disp_key, 0), disp[0][0], [p[0] for p in disp[1:]]),
+                    buffer((disp_key, 1), disp[0][1], [p[1] for p in disp[1:]]),
+                ),
+            )
+            seed(
+                ("family_target_country_counts", family),
+                partial.family_country_counts[family],
+            )
+            seed(
+                ("daily_distribution", family),
+                _merge.finish_daily_distribution(
+                    partial.daily_counts[family], ds, family
+                ),
+            )
             pairs = partial.weekly_pairs[family]
             seed(("weekly_shift_pairs", family), pairs)
             seed(
@@ -1417,6 +1114,12 @@ class ShardedAnalysisContext:
                 _shift._finish_weekly_shift(ds, family, *pairs),
             )
         return ctx
+
+
+def _present_families(ctx: AnalysisContext) -> list[str]:
+    """Families with at least one attack in ``ctx``'s dataset."""
+    groups = ctx._groups_by("family_attack_index", ctx.dataset.family_idx)
+    return [ctx.dataset.family_name(k) for k in sorted(groups)]
 
 
 def _shard_build_worker(

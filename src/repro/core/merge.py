@@ -3,23 +3,23 @@
 Each combinator takes the per-shard value of one derived view and
 reconstructs the value a single :class:`~repro.core.context.AnalysisContext`
 over the merged dataset would compute — **bitwise** identical, pinned by
-the shard-merge parity tests (``tests/core/test_shard_merge.py``).
+the shard-merge parity tests (``tests/core/test_shard_merge.py``) against
+the serial reference fold in ``tests/core/merge_reference.py``.
 
 The trivially mergeable views are concatenations (durations, per-family
-starts, dispersion series) or re-reductions (marginal counts, weekly
-(week, bot) pair tables, daily histograms).  Two families of views need
-care at shard boundaries:
+starts, dispersion series), which the merge writes into
+:class:`GrowBuffer` s, or re-reductions (marginal counts, weekly
+(week, bot) pair tables, daily histograms), which fold through
+:class:`ShardPartial`.  Two families of views need care at shard
+boundaries:
 
 * **Intervals** — consecutive-gap arrays gain one extra gap per shard
   boundary (last start of the previous non-empty shard to the first
-  start of the next one).
+  start of the next one); see :func:`interval_pieces`.
 * **Collaboration / chain scans** — a run of attacks on one target can
-  straddle a boundary.  :func:`find_boundary_suspects` flags every
-  target whose shard-edge attacks *could* link under the paper's
-  windows; events on non-suspect targets pass through with their attack
-  indices rebased, suspect targets are rescanned on the merged columns
-  (a per-target-independent computation, so the rescan of the suspect
-  subset equals the global scan restricted to those targets).
+  straddle a boundary.  :func:`stitch_scan_events` finds the runs that
+  cross a boundary and regenerates only those from the merged columns;
+  every other event passes through.
 
 All index-valued outputs are **global** attack indices: shard ``k``'s
 local index ``i`` maps to ``bases[k] + i`` where ``bases`` are the
@@ -41,7 +41,7 @@ from .collaboration import (
     CollabEvent,
     _detect_collaborations,
 )
-from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain, _detect_chains
+from .consecutive import CHAIN_MARGIN_SECONDS, AttackChain
 from .overview import DailyDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -49,18 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "merge_grouped_indices",
-    "merge_concat",
-    "merge_series",
-    "merge_csr",
     "merge_counts",
-    "merge_intervals",
     "merge_weekly_pairs",
-    "merge_daily_distributions",
     "finish_daily_distribution",
     "merge_protocol_breakdown",
     "merge_protocol_popularity",
-    "find_boundary_suspects",
-    "merge_scan_events",
     "rebase_scan_events",
     "scan_order",
     "stitch_scan_events",
@@ -75,18 +68,13 @@ __all__ = [
 # -- plain concatenations --------------------------------------------------
 
 
-def merge_concat(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard arrays in shard (chronological) order."""
-    return np.concatenate(list(parts))
-
-
 class GrowBuffer:
     """A 1-D concatenation with reserved tail capacity.
 
     Concat-shaped merged views (durations, per-family starts, CSR flats,
     dispersion series, ...) are suffix-extended by an append: the merged
     array after one more shard is the old array plus the new shard's
-    rows.  Rebuilding them with :func:`merge_concat` re-copies every row
+    rows.  Rebuilding them with ``np.concatenate`` re-copies every row
     on every re-merge.  A ``GrowBuffer`` copies the pieces once into a
     buffer with ``reserve`` fractional headroom; later appends write
     only the new pieces into the reserved tail, and the previously
@@ -116,20 +104,6 @@ class GrowBuffer:
         return self.view
 
 
-def merge_series(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge aligned ``(timestamps, values)`` pairs by concatenation.
-
-    Shards partition by start time, so shard-order concatenation of
-    chronological per-shard series is the global chronological series.
-    """
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
-
-
 def merge_grouped_indices(
     parts: Sequence[dict[int, np.ndarray]], bases: Sequence[int]
 ) -> dict[int, np.ndarray]:
@@ -150,34 +124,6 @@ def merge_grouped_indices(
         ]
         out[key] = np.concatenate(pieces)
     return out
-
-
-def csr_pieces(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The ``(offset_pieces, flat_pieces)`` of the merged CSR layout.
-
-    Exposed separately from :func:`merge_csr` so the incremental merge
-    can write the pieces into growable buffers instead of concatenating.
-    """
-    offset_pieces = [np.zeros(1, dtype=np.int64)]
-    base = np.int64(0)
-    for offsets, _flat in parts:
-        offset_pieces.append(offsets[1:] + base)
-        base += offsets[-1]
-    return offset_pieces, [flat for _offsets, flat in parts]
-
-
-def merge_csr(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard CSR ``(offsets, flat)`` layouts in shard order.
-
-    ``flat`` entries are global bot indices (the registries are shared
-    across shards), so only the offsets need rebasing.
-    """
-    offset_pieces, flat_pieces = csr_pieces(parts)
-    return np.concatenate(offset_pieces), np.concatenate(flat_pieces)
 
 
 # -- re-reductions ---------------------------------------------------------
@@ -203,12 +149,17 @@ def merge_counts(
 def interval_pieces(
     starts_parts: Sequence[np.ndarray], diff_parts: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """The concat pieces of the merged gap array (see merge_intervals).
+    """The concat pieces of the merged gap array.
 
-    Passing an empty diff array for an already-merged leading part
-    yields only the pieces *after* it — one boundary gap per seam plus
-    the new parts' gap arrays — which is what the incremental merge
-    appends to its growable buffer.
+    ``np.diff`` is an elementwise subtraction, so the global gap array is
+    exactly the per-part gap arrays interleaved with one boundary gap
+    (first start of a non-empty part minus the last start of the
+    previous non-empty one) per internal boundary.
+
+    Passing an empty diff array for the leading part yields only the
+    pieces *after* it — one boundary gap per seam plus the later parts'
+    gap arrays — which is what the merge appends after the leading
+    part's own gap array.
     """
     pieces: list[np.ndarray] = []
     prev_last: float | None = None
@@ -221,22 +172,6 @@ def interval_pieces(
             pieces.append(diffs)
         prev_last = float(starts[-1])
     return pieces
-
-
-def merge_intervals(
-    starts_parts: Sequence[np.ndarray], diff_parts: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Merge per-shard consecutive-gap arrays, adding the boundary gaps.
-
-    ``np.diff`` is an elementwise subtraction, so the global gap array is
-    exactly the per-shard gap arrays interleaved with one boundary gap
-    (first start of a non-empty shard minus the last start of the
-    previous non-empty one) per internal boundary.
-    """
-    pieces = interval_pieces(starts_parts, diff_parts)
-    if not pieces:
-        return np.zeros(0)
-    return np.concatenate(pieces)
 
 
 def merge_weekly_pairs(
@@ -260,22 +195,6 @@ def merge_weekly_pairs(
     first[0] = True
     first[1:] = (w_sorted[1:] != w_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
     return weeks_u, w_sorted[first], b_sorted[first]
-
-
-def merge_daily_distributions(
-    parts: Sequence[DailyDistribution], ds: "AttackDataset", family: str | None
-) -> DailyDistribution:
-    """Pad-sum per-shard daily histograms and recompute the headline.
-
-    The counts are integer sums, so the padded sum is exact; the busiest
-    day's top family is re-derived with the unsharded kernel's own
-    expression over the merged columns (one vectorised pass).
-    """
-    n_days = max(p.counts.size for p in parts)
-    counts = np.zeros(n_days, dtype=parts[0].counts.dtype)
-    for p in parts:
-        counts[: p.counts.size] += p.counts
-    return finish_daily_distribution(counts, ds, family)
 
 
 def finish_daily_distribution(
@@ -338,64 +257,15 @@ def merge_protocol_popularity(
 
 
 # -- boundary-stitched scans -----------------------------------------------
-
-
-def _target_segments(
-    ds,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-target scan-edge state: (targets, first start, last start, last end).
-
-    ``last end`` is the end of the last-*started* attack — the attack the
-    chain kernel would link the next shard's first attack against.
-    """
-    n = ds.n_attacks
-    if n == 0:
-        empty_f = np.zeros(0)
-        return np.zeros(0, dtype=np.int64), empty_f, empty_f, empty_f
-    order = np.lexsort((ds.start, ds.target_idx))
-    targets = ds.target_idx[order]
-    starts = ds.start[order]
-    ends = ds.end[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = targets[1:] != targets[:-1]
-    firsts = np.flatnonzero(new)
-    lasts = np.concatenate((firsts[1:], [n])) - 1
-    return (
-        targets[firsts].astype(np.int64),
-        starts[firsts],
-        starts[lasts],
-        ends[lasts],
-    )
-
-
-def find_boundary_suspects(datasets: Sequence, n_targets: int) -> np.ndarray:
-    """Boolean mask of targets whose scans may link across a boundary.
-
-    Walks the shards in time order carrying, per target, the start and
-    end of its last-started attack so far.  A target becomes suspect when
-    its first attack in a later shard falls within the collaboration
-    start window of the carried start, or within the chain margin of the
-    carried end (conservative: the chain kernel's additional >1 s
-    stagger condition is ignored — the rescan settles it exactly).
-    """
-    last_start = np.full(n_targets, -np.inf)
-    last_end = np.full(n_targets, -np.inf)
-    seen = np.zeros(n_targets, dtype=bool)
-    suspect = np.zeros(n_targets, dtype=bool)
-    for ds in datasets:
-        targets, first_start, seg_last_start, seg_last_end = _target_segments(ds)
-        if targets.size == 0:
-            continue
-        cross = seen[targets] & (
-            (first_start - last_start[targets] <= START_WINDOW_SECONDS)
-            | (np.abs(first_start - last_end[targets]) <= CHAIN_MARGIN_SECONDS)
-        )
-        suspect[targets[cross]] = True
-        seen[targets] = True
-        last_start[targets] = seg_last_start
-        last_end[targets] = seg_last_end
-    return suspect
+#
+# Shards are contiguous time slices, so a shard's per-target rows are a
+# contiguous run of that target's global rows, local scan events are
+# consistent fragments of global ones, and any fragment belonging to a
+# boundary-crossing run is dropped and regenerated from the merged
+# columns.  Rebasing happens once per shard build
+# (:func:`rebase_scan_events`); the merge regenerates only the runs that
+# actually cross a boundary.  The conservative suspect-target rescan of
+# ``tests/core/merge_reference.py`` is the oracle these are pinned to.
 
 
 class _AttackSlice:
@@ -418,74 +288,6 @@ class _AttackSlice:
 
     def family_name(self, family_id: int) -> str:
         return self._ds.family_name(family_id)
-
-
-def merge_scan_events(
-    parts: Sequence[list],
-    bases: Sequence[int],
-    suspect: np.ndarray,
-    merged_ds,
-    kind: str,
-) -> "list[CollabEvent] | list[AttackChain]":
-    """Merge per-shard collaboration/chain event lists.
-
-    Events on non-suspect targets pass through with rebased attack
-    indices; suspect targets are rescanned on the merged columns and the
-    rescan's local indices mapped back through the row subset.  Both
-    scans group strictly per target, so the union reproduces the global
-    scan; the final sort key ``(start, target)`` matches the global
-    enumeration order exactly (runs are enumerated target-major, so the
-    global ``sort(key=start)`` leaves equal-start events in ascending
-    target order).
-    """
-    events = []
-    for shard_events, base in zip(parts, bases):
-        offset = int(base)
-        for event in shard_events:
-            if suspect[event.target_index]:
-                continue
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(int(i) + offset for i in event.attack_indices),
-                )
-            )
-    if suspect.any():
-        rows = np.flatnonzero(suspect[merged_ds.target_idx])
-        shim = _AttackSlice(merged_ds, rows)
-        if kind == "collaborations":
-            rescanned = _detect_collaborations(
-                shim, START_WINDOW_SECONDS, DURATION_WINDOW_SECONDS
-            )
-        elif kind == "chains":
-            rescanned = _detect_chains(shim, CHAIN_MARGIN_SECONDS, 2)
-        else:
-            raise ValueError(f"unknown scan kind {kind!r}")
-        for event in rescanned:
-            events.append(
-                dataclasses.replace(
-                    event,
-                    attack_indices=tuple(
-                        int(rows[i]) for i in event.attack_indices
-                    ),
-                )
-            )
-    events.sort(key=lambda e: (e.start, e.target_index))
-    return events
-
-
-# -- vectorised boundary stitch --------------------------------------------
-#
-# The suspect-rescan path above is the retained reference: simple, pinned
-# by the parity tests, and O(per-event Python work).  The functions below
-# reproduce it with array passes: rebasing happens once per shard build
-# (:func:`rebase_scan_events`), and the merge regenerates only the runs
-# that actually cross a shard boundary instead of every run on a suspect
-# target.  Both paths are exact — shards are contiguous time slices, so a
-# shard's per-target rows are a contiguous run of that target's global
-# rows, local scan events are consistent fragments of global ones, and
-# any fragment belonging to a boundary-crossing run is dropped and
-# regenerated from the merged columns.
 
 
 def rebase_scan_events(events: Sequence, base: int) -> list:
@@ -657,11 +459,11 @@ def stitch_scan_events(
 ) -> tuple[list, set[int]]:
     """Merge per-shard event lists already carrying global attack indices.
 
-    Vectorised replacement for :func:`merge_scan_events`: one array pass
-    finds the runs whose rows span more than one shard, every per-shard
-    event belonging to such a run is dropped, and only those runs are
-    regenerated from the merged columns.  Returns ``(events, targets)``
-    where ``targets`` is the set of target ids that needed stitching.
+    One array pass finds the runs whose rows span more than one shard,
+    every per-shard event belonging to such a run is dropped, and only
+    those runs are regenerated from the merged columns.  Returns
+    ``(events, targets)`` where ``targets`` is the set of target ids
+    that needed stitching.
 
     When nothing crosses a boundary, the shard-order concatenation is
     already globally sorted (per-shard lists are start-sorted and shard
@@ -779,7 +581,7 @@ def seam_stitch_scan_events(
     return _merge_sorted_events(kept, fresh), stitched
 
 
-# -- tree-reducible shard partials -----------------------------------------
+# -- foldable shard partials -----------------------------------------------
 
 
 @dataclasses.dataclass
@@ -788,10 +590,11 @@ class ShardPartial:
 
     Everything in here merges under :func:`combine_partials` — a small,
     associative algebra (integer sums, sorted-unique unions), bitwise
-    stable under any tree shape, and cheap to pickle for the subtree
-    cache.  The concatenation-shaped views (index groupings, per-family
-    series, scan events) stay out: they are linear-size and assembled
-    once during finalisation instead of being copied at every level.
+    stable under any grouping, so folding appended shards onto a
+    previous merge's partial equals folding every shard from scratch.
+    The concatenation-shaped views (index groupings, per-family series,
+    scan events) stay out: they are linear-size and assembled once
+    during finalisation instead of being copied at every combine.
     """
 
     lo: int
@@ -895,7 +698,7 @@ def sketch_summaries(summaries):
     boundary artefact is the one inter-attack interval spanning each
     shard edge, which no shard observed (see
     :meth:`repro.sketch.AttackStreamSummary.merge`) — the exact-interval
-    combinator :func:`merge_intervals` reinserts such gaps, the sketch
+    combinator :func:`interval_pieces` reinserts such gaps, the sketch
     one cannot.
 
     The inputs are left untouched (the reduce starts from a copy).

@@ -643,10 +643,12 @@ class ShardedDatasetStore:
         """Cheap content signature of one shard: (rows, t_lo, first, last).
 
         The same tuple for the same slice of data whether the store is a
-        disk directory or an in-memory partition, so merge memo entries
-        (see :class:`repro.io.cache.MergeCache`) transfer between the
-        two.  It is a manifest-level fingerprint — it does not hash the
-        columns — which is the same trust level the manifest itself gets.
+        disk directory or an in-memory partition.
+        :meth:`~repro.core.context.ShardedAnalysisContext.merged` compares
+        these to tell whether the previous merge covers a prefix of the
+        current shards.  It is a manifest-level fingerprint — it does not
+        hash the columns — which is the same trust level the manifest
+        itself gets.
         """
         if self._entries:
             entry = self._entries[index]

@@ -23,12 +23,12 @@ from repro.core.context import AnalysisContext, ShardedAnalysisContext
 from repro.datagen.config import DatasetConfig
 from repro.datagen.generator import generate_dataset
 from repro.experiments.registry import run_all
-from repro.io.cache import MergeCache
 from repro.io.colstore import ShardedDatasetStore, append_shard
 from repro.io.ingest import dataset_from_records
 from repro.simulation.clock import ObservationWindow
+from repro.stream import StreamingDataset
 
-from .merge_reference import merged_reference
+from .merge_reference import find_boundary_suspects, merge_intervals, merged_reference
 from .test_kernel_parity import _record
 
 
@@ -221,7 +221,7 @@ class TestBoundaryStitching:
         )
         store = ShardedDatasetStore.partition(ds, shards=2)
         shards = [store.load_shard(i) for i in range(2)]
-        suspect = merge.find_boundary_suspects(shards, ds.victims.n_targets)
+        suspect = find_boundary_suspects(shards, ds.victims.n_targets)
         # rows sort by start: 0 = the early beta, 1-2 = the straddling
         # alpha pair, 3 = the late beta.
         assert suspect[ds.target_idx[1]]  # the straddling target
@@ -238,7 +238,7 @@ class TestBoundaryStitching:
         )
         store = ShardedDatasetStore.partition(ds, shards=2)
         shards = [store.load_shard(i) for i in range(2)]
-        got = merge.merge_intervals(
+        got = merge_intervals(
             [s.start for s in shards], [np.diff(s.start) for s in shards]
         )
         np.testing.assert_array_equal(got, np.diff(ds.start))
@@ -258,7 +258,7 @@ def _append_store(path, small_ds, k):
 
 
 class TestIncrementalRemerge:
-    """append_shard + refresh + merged() re-merges only the spine —
+    """append_shard + refresh + merged() folds only the new shard —
     and the result is byte-identical to a from-scratch build."""
 
     @pytest.mark.parametrize("k", [2, 5, 8])
@@ -329,14 +329,11 @@ class TestIncrementalRemerge:
     def test_remerge_recombines_only_the_spine(self, small_ds, tmp_path):
         k = 8
         tail = _append_store(tmp_path / "store", small_ds, k)
-        sctx = ShardedAnalysisContext(
-            ShardedDatasetStore(tmp_path / "store"),
-            merge_cache=MergeCache(tmp_path / "mc"),
-        )
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"))
         sctx.build(jobs=1)
         sctx.merged()
         full = sctx.last_merge_stats
-        assert full["combined"] == k - 1
+        assert (full["reused"], full["combined"]) == (0, k - 1)
 
         append_shard(tmp_path / "store", tail)
         sctx.refresh()
@@ -344,10 +341,40 @@ class TestIncrementalRemerge:
         sctx.merged()
         stats = sctx.last_merge_stats
         assert stats["mode"] == "incremental"
-        # The aligned (0, 8) subtree is served from the memo; only the
-        # one spine combine against the new leaf runs.
-        assert stats["reused"] >= 1
-        assert stats["combined"] < k - 1
+        # The fold starts from the previous merge's partial; only the
+        # one combine against the new shard runs.
+        assert (stats["reused"], stats["combined"]) == (1, 1)
+
+    def test_registry_reset_remerges_from_scratch(self, small_ds, tmp_path):
+        """A refresh that rewrote the registries drops the previous merge.
+
+        The second spill interns bots and victims the first never saw,
+        so every shard context and the previous partial index stale
+        registries: the re-merge must be a full fold over fresh shards.
+        """
+        records = sorted(small_ds.iter_attacks(), key=lambda r: (r.timestamp, r.botnet_id))
+        stream = StreamingDataset(window=small_ds.window)
+        path = tmp_path / "spill"
+        stream.append_batch(records[: len(records) // 2])
+        assert stream.spill_shards(path) > 0
+        sctx = ShardedAnalysisContext(ShardedDatasetStore(path))
+        sctx.build(jobs=1)
+        sctx.merged()
+        stale = sctx.shard_context(0)
+
+        stream.append_batch(records[len(records) // 2 :])
+        assert stream.spill_shards(path, context=sctx) > 0
+        assert sctx.shard_context(0) is not stale  # the registries were reset
+        merged = sctx.merged()
+        stats = sctx.last_merge_stats
+        assert stats["mode"] == "full"
+        assert (stats["reused"], stats["combined"]) == (0, sctx.n_shards - 1)
+
+        flat = AnalysisContext(ShardedDatasetStore(path).merged_dataset())
+        assert merged.dataset.attack_columns_equal(flat.dataset)
+        assert [r.render() for r in run_all(merged, jobs=1)] == [
+            r.render() for r in run_all(flat, jobs=1)
+        ]
 
     def test_unchanged_store_reuses_finalized_context(self, small_ds, tmp_path):
         _append_store(tmp_path / "store", small_ds, 3)
@@ -360,45 +387,6 @@ class TestIncrementalRemerge:
         sctx._merged = None
         assert sctx.merged() is first
         assert sctx.last_merge_stats["mode"] == "unchanged"
-
-    def test_cold_process_reuses_disk_memo(self, small_ds, tmp_path):
-        _append_store(tmp_path / "store", small_ds, 5)
-        cache = MergeCache(tmp_path / "mc")
-        warm = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        warm.build(jobs=1)
-        warm.merged()
-        assert warm.last_merge_stats["combined"] == 4
-
-        # A new context over the same store: the whole reduce is one
-        # disk lookup of the (0, n) spine prefix.
-        cold = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        cold.build(jobs=1)
-        merged = cold.merged()
-        stats = cold.last_merge_stats
-        assert (stats["reused"], stats["combined"]) == (1, 0)
-        assert merged.dataset.attack_columns_equal(warm.merged().dataset)
-
-    def test_corrupt_cache_entry_falls_back_to_full_merge(self, small_ds, tmp_path):
-        tail = _append_store(tmp_path / "store", small_ds, 3)
-        append_shard(tmp_path / "store", tail)  # 4 shards covering all rows
-        cache = MergeCache(tmp_path / "mc")
-        warm = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        warm.build(jobs=1)
-        warm.merged()
-        for entry in cache.dir.iterdir():
-            entry.write_bytes(b"not a pickle")
-
-        cold = ShardedAnalysisContext(ShardedDatasetStore(tmp_path / "store"), merge_cache=cache)
-        cold.build(jobs=1)
-        merged = cold.merged()  # silent miss, never an error
-        stats = cold.last_merge_stats
-        assert (stats["reused"], stats["combined"]) == (0, 3)
-        fresh = AnalysisContext(small_ds)
-        families = [f for f in small_ds.active_families if fresh.family_attacks(f).size]
-        got = _collect_views(merged, families)
-        want = _collect_views(fresh, families)
-        for label in want:
-            _assert_view_equal(label, got[label], want[label])
 
 
 def _snapshot_keys(ctx: AnalysisContext) -> list:

@@ -1,11 +1,14 @@
 """Tests for dataset caching."""
 
+import gzip
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.datagen.config import DatasetConfig
+from repro.io import cache as cache_mod
 from repro.io.cache import (
     config_key,
     load_context_views,
@@ -16,6 +19,16 @@ from repro.io.cache import (
     save_context_views,
     save_dataset,
 )
+
+
+def _write_sharded_snapshot(ctx, config, cache_dir, layout) -> Path:
+    """A view snapshot tagged with a sharded layout, as older versions
+    wrote from ``experiments --shards``."""
+    path = cache_mod._views_path(config, cache_dir)
+    payload = (cache_mod._VIEWS_FORMAT_VERSION, config_key(config), layout, ctx.export_views())
+    with gzip.open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+    return path
 
 
 class TestConfigKey:
@@ -122,7 +135,7 @@ class TestContextViewSnapshots:
         store = ShardedDatasetStore.partition(ds, shards=2)
         sctx = ShardedAnalysisContext(store)
         sctx.build(jobs=1)
-        path = save_context_views(sctx.merged(), config, tmp_path, shard_layout=store.layout_key())
+        path = _write_sharded_snapshot(sctx.merged(), config, tmp_path, store.layout_key())
         with pytest.raises(ValueError, match="shard layout"):
             load_context_views(path, config_key(config))
         # load_or_generate_context treats it as a miss and discards it
@@ -140,55 +153,8 @@ class TestContextViewSnapshots:
         four = ShardedDatasetStore.partition(ds, shards=4)
         sctx = ShardedAnalysisContext(two)
         sctx.build(jobs=1)
-        path = save_context_views(sctx.merged(), config, tmp_path, shard_layout=two.layout_key())
+        path = _write_sharded_snapshot(sctx.merged(), config, tmp_path, two.layout_key())
         # same layout restores; any other sharding is rejected
         assert load_context_views(path, config_key(config), two.layout_key())
         with pytest.raises(ValueError, match="shard layout"):
             load_context_views(path, config_key(config), four.layout_key())
-
-
-class TestMergeCache:
-    def _cache(self, tmp_path):
-        from repro.io.cache import MergeCache
-
-        return MergeCache(tmp_path)
-
-    def test_roundtrip(self, tmp_path):
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        cache.save("partial", fp, {"value": 42})
-        assert cache.load("partial", fp) == {"value": 42}
-
-    def test_miss_on_unknown_fingerprint(self, tmp_path):
-        cache = self._cache(tmp_path)
-        assert cache.load("partial", ((0.0, 1.0), ())) is None
-
-    def test_corrupt_entry_is_a_silent_miss(self, tmp_path):
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        path = cache.save("partial", fp, [1, 2, 3])
-        path.write_bytes(b"garbage")
-        assert cache.load("partial", fp) is None
-
-    def test_version_skew_is_a_silent_miss(self, tmp_path, monkeypatch):
-        from repro.io import cache as cache_mod
-
-        cache = self._cache(tmp_path)
-        fp = ((0.0, 86400.0), ((10, 1.0, 2.0, 3.0),))
-        cache.save("partial", fp, "payload")
-        monkeypatch.setattr(cache_mod, "_MERGE_FORMAT_VERSION", 999)
-        # the version participates in the filename hash, so a bumped
-        # format simply never finds the old entry
-        assert cache.load("partial", fp) is None
-
-    def test_fingerprint_collision_rejected(self, tmp_path):
-        # A file renamed (or hashed) onto another key must not serve:
-        # the stored fingerprint is re-verified on load.
-        cache = self._cache(tmp_path)
-        fp_a = ((0.0, 1.0), ((1, 0.0, 0.0, 0.0),))
-        fp_b = ((0.0, 1.0), ((2, 0.0, 0.0, 0.0),))
-        path_a = cache.save("partial", fp_a, "A")
-        path_b = cache._path("partial", fp_b)
-        path_b.parent.mkdir(parents=True, exist_ok=True)
-        path_b.write_bytes(path_a.read_bytes())
-        assert cache.load("partial", fp_b) is None

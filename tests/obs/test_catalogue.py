@@ -63,13 +63,20 @@ def test_documented_metrics_match_emitted(tiny_config, tmp_path, monkeypatch):
         sctx = api.context(api.load(tmp_path / "store"))
         api.run_all(sctx, jobs=1)
 
-        # re-merge the same store through the disk memo: the second
-        # context's whole reduce is a cache hit (shard.merge.reused)
-        from repro.io.cache import MergeCache
+        # append a shard and re-merge: the fold starts from the previous
+        # merge's partial (shard.merge.reused, shard.merge.levels)
+        from repro.io.colstore import ShardedDatasetStore, append_shard
 
-        cache = MergeCache(tmp_path / "merge-cache")
-        api.context(api.load(tmp_path / "store"), merge_cache=cache).merged()
-        api.context(api.load(tmp_path / "store"), merge_cache=cache).merged()
+        slices = ShardedDatasetStore.partition(ds, shards=3)
+        for k in range(2):
+            append_shard(tmp_path / "grown", slices.load_shard(k))
+        grown = api.context(api.load(tmp_path / "grown"))
+        grown.build(jobs=1)
+        grown.merged()
+        append_shard(tmp_path / "grown", slices.load_shard(2))
+        grown.refresh()
+        grown.merged()
+        assert grown.last_merge_stats["reused"] == 1
 
         # ingest round-trip
         api.ingest(ds.iter_attacks(), window=ds.window)

@@ -177,3 +177,23 @@ class TestShardCli:
         )
         assert code == 0
         assert sharded == flat
+
+    def test_sharded_experiments_keep_the_flat_view_snapshot(self, capsys, tmp_path):
+        """A sharded run must not evict the flat path's warm-start snapshot."""
+        from repro import obs
+
+        reg = obs.registry()
+
+        def flat_run() -> str:
+            hits = reg.counter("cache.views.hit").value
+            code, _ = run_cli(capsys, *BASE, "--cache-dir", str(tmp_path), "experiments")
+            assert code == 0
+            return "hit" if reg.counter("cache.views.hit").value > hits else "miss"
+
+        assert flat_run() == "miss"
+        assert flat_run() == "hit"
+        code, _ = run_cli(
+            capsys, *BASE, "--cache-dir", str(tmp_path), "experiments", "--shards", "2"
+        )
+        assert code == 0
+        assert flat_run() == "hit"
