@@ -563,6 +563,9 @@ class AnalysisContext:
         example carried across a streaming epoch — is neither rebuilt
         nor overwritten.  Returns the number of views that became
         materialised; the result set is identical for every ``jobs``.
+        A fan-out (``jobs > 1``) that holds forecast tasks loads the
+        ARIMA backend in the parent first, so forked workers inherit it
+        instead of each importing scipy.
 
         Observability: the whole pass runs under a ``prewarm`` stage
         span; ``prewarm.tasks`` counts the tasks dispatched and
@@ -581,12 +584,18 @@ class AnalysisContext:
             self.durations()
             specs = self._prewarm_specs(families)
             reg.counter("prewarm.tasks").inc(len(specs))
+            jobs = par.resolve_jobs(jobs)
+            if jobs > 1 and any(spec[0] == "forecast" for spec in specs):
+                # Forked workers would each import scipy for their fits.
+                from ..timeseries.arima import load_backend
+
+                load_backend()
             before = set(self._views)
             if specs:
                 results = par.parallel_map(
                     _prewarm_worker,
                     specs,
-                    jobs=par.resolve_jobs(jobs),
+                    jobs=jobs,
                     payload=self,
                     label="prewarm",
                 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..timeseries.arima import ARIMA, ARIMAFit
+from ..timeseries.arima import ARIMA, ARIMAFit, load_backend
 from ..timeseries.metrics import ForecastComparison, compare_forecast, error_rates
 from ..timeseries.order_selection import select_order
 from .context import AnalysisContext, AnalysisSource
@@ -169,6 +169,9 @@ def predict_all_families(
         for family in families
         if _dispersion_series(ctx, family, True).size >= MIN_SERIES_POINTS
     ]
+    if eligible:
+        # Load the ARIMA backend before the fork, not once per worker.
+        load_backend()
     forecasts = par.parallel_map(
         _forecast_family_task,
         eligible,

@@ -8,7 +8,6 @@ model's residuals look like white noise.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["acf", "pacf", "ljung_box"]
 
@@ -75,8 +74,13 @@ def ljung_box(residuals, nlags: int = 10, fitted_params: int = 0) -> tuple[float
 
     Returns ``(Q statistic, p-value)``.  ``fitted_params`` is subtracted
     from the degrees of freedom (``p + q`` for an ARMA fit).  A large
-    p-value means we cannot reject residual whiteness.
+    p-value means we cannot reject residual whiteness.  The p-value is
+    the chi-square survival function, evaluated by the same scipy
+    routine ``scipy.stats.chi2.sf`` calls, without importing
+    ``scipy.stats``.
     """
+    from scipy.special import chdtrc
+
     r = np.asarray(residuals, dtype=float)
     n = r.size
     if n <= nlags:
@@ -84,5 +88,5 @@ def ljung_box(residuals, nlags: int = 10, fitted_params: int = 0) -> tuple[float
     rho = acf(r, nlags)[1:]
     q = n * (n + 2) * float(np.sum(rho**2 / (n - np.arange(1, nlags + 1))))
     dof = max(1, nlags - fitted_params)
-    pvalue = float(stats.chi2.sf(q, dof))
+    pvalue = float(chdtrc(dof, q))
     return q, pvalue

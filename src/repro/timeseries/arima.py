@@ -17,15 +17,49 @@ processes with known coefficients.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
 
+from ..obs import registry as _obs_registry
 from .differencing import difference, integrate_forecast
 from .hannan_rissanen import hannan_rissanen
 
-__all__ = ["ARIMA", "ARIMAFit"]
+__all__ = ["ARIMA", "ARIMAFit", "load_backend"]
+
+#: scipy's ``optimize`` and ``signal`` modules and the fast all-pole
+#: filter, bound by :func:`load_backend` on the first fit or forecast.
+#: Importing scipy costs more than the rest of the package together,
+#: and most processes (serving, scale-out batteries) never fit a model.
+optimize = None
+signal = None
+_iir_all_pole = None
+_BACKEND_LOCK = threading.Lock()
+
+
+def load_backend() -> None:
+    """Import the scipy backend once; later calls return immediately.
+
+    Every fit and forecast entry point calls this first, so callers
+    never need to.  The exception is a fork fan-out that fits models:
+    call it in the parent before forking, or every fresh worker pays
+    the import again.  The one-time cost runs under the
+    ``timeseries.load_backend`` stage span.
+    """
+    global optimize, signal, _iir_all_pole
+    if _iir_all_pole is not None:
+        return
+    with _BACKEND_LOCK:
+        if _iir_all_pole is not None:
+            return
+        with _obs_registry().span("timeseries.load_backend"):
+            from scipy import optimize as _optimize
+            from scipy import signal as _signal
+
+            optimize, signal = _optimize, _signal
+            # Bound last: the unlocked check above reads it as the flag.
+            _iir_all_pole = _make_iir_all_pole()
 
 
 def _make_iir_all_pole():
@@ -36,7 +70,8 @@ def _make_iir_all_pole():
     the C routine directly is bitwise-identical and skips ~30 µs of Python
     overhead per call — which matters inside the CSS optimiser, where the
     filter runs thousands of times per fit.  The private entry point is
-    probed once at import; any surprise falls back to the public API.
+    probed once, when :func:`load_backend` first runs; any surprise falls
+    back to the public API.
     """
     b = np.array([1.0])
     try:
@@ -52,9 +87,6 @@ def _make_iir_all_pole():
     except Exception:
         pass
     return lambda a, x: signal.lfilter(b, a, x)
-
-
-_iir_all_pole = _make_iir_all_pole()
 
 
 def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -81,6 +113,7 @@ def _css_residuals(y: np.ndarray, const: float, phi: np.ndarray, theta: np.ndarr
     z[:p] = 0.0
     if q == 0:
         return z
+    load_backend()
     return _iir_all_pole(np.concatenate(([1.0], theta)), z)
 
 
@@ -195,7 +228,7 @@ class ARIMAFit:
         ``steps`` psi-weights by recursion and returns ``(point, lower,
         upper)`` arrays.  Bands assume Gaussian innovations.
         """
-        point = self.forecast(steps)
+        point = self.forecast(steps)  # loads the backend
         # psi-weights are the impulse response of theta(B)/phi(B).
         impulse = np.zeros(steps)
         impulse[0] = 1.0
@@ -225,6 +258,7 @@ class ARIMAFit:
         """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
+        load_backend()
         p, d, q = self.order
         # MA contribution: at step h only training innovations with
         # index h-1-j < 0 survive (future ones are their zero mean).
@@ -260,6 +294,7 @@ class ARIMAFit:
         n = cont.size
         if n == 0:
             return np.zeros(0)
+        load_backend()
         # Truth feedback makes every quantity a known function of the
         # observed continuation, so the whole walk vectorises:
         #   w[t]        the truth differenced d times (using diff_tail as
@@ -345,6 +380,7 @@ class ARIMA:
             raise ValueError(f"series of length {n} too short for ARIMA{self.order}")
 
     def _fit_differenced(self, y: np.ndarray, y_orig: np.ndarray, maxiter: int) -> ARIMAFit:
+        load_backend()
         p, d, q = self.order
         phi0, theta0 = hannan_rissanen(y - y.mean(), p, q)
         const0 = float(y.mean()) * (1.0 - float(np.sum(phi0)))

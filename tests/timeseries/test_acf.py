@@ -73,3 +73,31 @@ class TestLjungBox:
     def test_short_series_raises(self):
         with pytest.raises(ValueError):
             ljung_box(np.ones(5), 10)
+
+    def test_pvalue_matches_chi2_sf_bit_for_bit(self):
+        # ljung_box evaluates the survival function with chdtrc, the
+        # routine chi2.sf itself calls, to keep scipy.stats unimported.
+        from scipy import stats
+        from scipy.special import chdtrc
+
+        dof = np.arange(1, 40)[:, None]
+        q = np.concatenate((np.linspace(0.0, 200.0, 4001), [1e-300, 1e3, 1e5, np.inf]))
+        np.testing.assert_array_equal(chdtrc(dof, q[None, :]), stats.chi2.sf(q[None, :], dof))
+
+    def test_residual_diagnostics_match_chi2_sf_on_ar1_fit(self):
+        from scipy import stats
+
+        from repro.timeseries.arima import ARIMA
+
+        rng = np.random.default_rng(11)
+        e = rng.normal(size=300)
+        y = np.zeros(300)
+        for t in range(1, 300):
+            y[t] = 0.6 * y[t - 1] + e[t]
+        q, pvalue = ARIMA((1, 0, 0)).fit(y).residual_diagnostics(y)
+        # The values recorded with the scipy.stats.chi2.sf implementation
+        # (bit for bit with numpy 2.4 / scipy 1.17), and that formula
+        # applied to this fit's own Q with dof = nlags - p - q = 9.
+        assert q == pytest.approx(11.43995414299334, rel=1e-9)
+        assert pvalue == pytest.approx(0.2467528791344013, rel=1e-9)
+        assert pvalue == float(stats.chi2.sf(q, 9))
