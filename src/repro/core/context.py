@@ -27,7 +27,11 @@ Design notes:
 
 ``AnalysisContext.of`` attaches the context to the dataset instance, so
 code that still passes a raw ``AttackDataset`` around transparently
-shares one context per dataset.
+shares one context per dataset.  The attachment is a reference cycle
+(dataset -> context -> dataset) that only the cyclic garbage collector
+frees, so code that owns short-lived contexts (the sharded map-reduce,
+the experiments) passes contexts, not datasets, and builds its contexts
+unattached.
 """
 
 from __future__ import annotations
@@ -680,6 +684,11 @@ class ShardedAnalysisContext:
     ``shard.merge.reused`` once when the fold started from the previous
     merge's partial.
 
+    The shard contexts and the merged context are not attached to their
+    datasets (see the module notes): pass the contexts, not their
+    ``dataset``, to analysis functions, and a dropped sharded context
+    frees its columns and views at once.
+
     >>> from repro import api
     >>> from repro.io.colstore import ShardedDatasetStore
     >>> store = ShardedDatasetStore.partition(api.generate(scale=0.005), shards=2)
@@ -759,7 +768,7 @@ class ShardedAnalysisContext:
             with self._lock:
                 ctx = self._shard_ctxs[index]
                 if ctx is None:
-                    ctx = AnalysisContext.of(self._store.load_shard(index))
+                    ctx = AnalysisContext(self._store.load_shard(index))
                     # Shards share the registries, so the (large) geo
                     # matrix is computed once and seeded everywhere.
                     ctx.seed_view(("bot_coords_radians",), self._shared_bot_coords())
@@ -940,7 +949,7 @@ class ShardedAnalysisContext:
             # which also restores the reserve.
             self._growable = _colstore.GrowableConcat([c.dataset for c in parts])
             ds = self._growable.dataset
-        ctx = AnalysisContext.of(ds)
+        ctx = AnalysisContext(ds)
         bases = [0]
         for part in parts[:-1]:
             bases.append(bases[-1] + int(part.dataset.n_attacks))

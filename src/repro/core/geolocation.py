@@ -142,7 +142,12 @@ def snapshot_dispersions(
 def _snapshot_dispersions(
     ctx: AnalysisContext, family: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw computation behind :func:`snapshot_dispersions`."""
+    """The raw computation behind :func:`snapshot_dispersions`.
+
+    Pinned (allclose: the float summation order differs) to the
+    per-snapshot loop it replaced, the ``reference_snapshot_dispersions``
+    oracle in ``tests/core/reference_kernels.py``.
+    """
     from ..monitor.snapshots import LOOKBACK_SECONDS
     from ..simulation.clock import SECONDS_PER_HOUR
 
@@ -210,36 +215,6 @@ def _snapshot_dispersions(
     if not out_times:
         return np.zeros(0), np.zeros(0)
     return np.concatenate(out_times), np.concatenate(out_values)
-
-
-def _reference_snapshot_dispersions(
-    source: AnalysisSource, family: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference per-snapshot loop (pre-vectorization); kept for parity tests.
-
-    The batched kernel and this loop sum floating-point terms in
-    different orders, so parity is asserted with ``np.allclose`` rather
-    than bitwise equality.
-    """
-    from ..geo.haversine import dispersion_km
-    from ..monitor.snapshots import iter_hourly_snapshots
-
-    ctx = AnalysisContext.of(source)
-    ds = ctx.dataset
-    idx = ctx.family_attacks(family)
-    if idx.size == 0:
-        raise ValueError(f"family {family!r} launched no attacks")
-    offsets, flat = ctx.family_participants(family)
-    times: list[float] = []
-    values: list[float] = []
-    for snap in iter_hourly_snapshots(ds.start[idx], offsets, flat, ds.window, family):
-        if snap.n_bots < 2:
-            continue
-        times.append(snap.timestamp)
-        values.append(
-            dispersion_km(ds.bots.lat[snap.bot_indices], ds.bots.lon[snap.bot_indices])
-        )
-    return np.asarray(times), np.asarray(values)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..monitor.schemas import Protocol
+from ..obs import registry as _obs_registry
 from .collaboration import (
     DURATION_WINDOW_SECONDS,
     START_WINDOW_SECONDS,
@@ -174,27 +175,68 @@ def interval_pieces(
     return pieces
 
 
+def _seam_union(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """Sorted-unique union of two sorted-unique row tables.
+
+    Each table is a tuple of aligned columns sorted lexicographically,
+    leading column first.  Rows of ``a`` keyed before ``b``'s first key
+    and rows of ``b`` keyed after ``a``'s last key cannot collide with
+    the other side; they pass through by concatenation, and only the
+    overlap in between is lexsorted and de-duplicated.  Returns the
+    union and the number of overlap rows sorted.  Exact for any two
+    tables: disjoint ones in order concatenate, reordered ones sort in
+    full.
+    """
+    ka, kb = a[0], b[0]
+    ia, ib = ka.size, 0
+    if ka.size and kb.size:
+        ia = int(np.searchsorted(ka, kb[0], side="left"))
+        ib = int(np.searchsorted(kb, ka[-1], side="right"))
+    n = ka.size - ia + ib
+    if n == 0:
+        return tuple(np.concatenate((x, y)) for x, y in zip(a, b)), 0
+    mid = [np.concatenate((x[ia:], y[:ib])) for x, y in zip(a, b)]
+    order = np.lexsort(mid[::-1])
+    mid = [c[order] for c in mid]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = False
+    for c in mid:
+        first[1:] |= c[1:] != c[:-1]
+    return (
+        tuple(
+            np.concatenate((x[:ia], c[first], y[ib:]))
+            for x, c, y in zip(a, mid, b)
+        ),
+        n,
+    )
+
+
 def merge_weekly_pairs(
     parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Union per-shard ``(weeks_u, u_week, u_bot)`` weekly-shift tables.
 
     A (week, bot) pair may appear in several shards (the bot attacked in
-    that week on both sides of a boundary); the merged table re-sorts and
-    dedupes, which reproduces the global sorted-unique pair table.
+    that week on both sides of a boundary).  The parts are folded left
+    to right with a seam-only union: time shards share at most their
+    boundary week, so only that week's pairs are lexsorted and
+    de-duplicated and every other row passes through by concatenation.
+    ``weeks_u`` folds the same way.  The result is the global
+    sorted-unique table for parts in any order (reordered parts just
+    sort more rows).  Ticks ``shard.merge.seam_pairs`` by the number of
+    (week, bot) rows sorted.
     """
-    weeks_u = np.unique(np.concatenate([p[0] for p in parts]))
-    cw = np.concatenate([p[1] for p in parts])
-    cb = np.concatenate([p[2] for p in parts])
-    if cw.size == 0:
-        return weeks_u, cw, cb
-    order = np.lexsort((cb, cw))
-    w_sorted = cw[order]
-    b_sorted = cb[order]
-    first = np.empty(w_sorted.size, dtype=bool)
-    first[0] = True
-    first[1:] = (w_sorted[1:] != w_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
-    return weeks_u, w_sorted[first], b_sorted[first]
+    weeks, pairs = (parts[0][0],), tuple(parts[0][1:])
+    sorted_rows = 0
+    for part in parts[1:]:
+        weeks, _ = _seam_union(weeks, (part[0],))
+        pairs, n = _seam_union(pairs, tuple(part[1:]))
+        sorted_rows += n
+    _obs_registry().counter("shard.merge.seam_pairs").inc(sorted_rows)
+    return weeks[0], pairs[0], pairs[1]
 
 
 def finish_daily_distribution(
@@ -592,8 +634,11 @@ class ShardPartial:
     associative algebra (integer sums, sorted-unique unions), bitwise
     stable under any grouping, so folding appended shards onto a
     previous merge's partial equals folding every shard from scratch.
-    The concatenation-shaped views (index groupings, per-family series,
-    scan events) stay out: they are linear-size and assembled once
+    Combining two time-adjacent partials costs about the seam, not the
+    range: the weekly (week, bot) tables share at most their boundary
+    week, and only that week's rows are re-sorted
+    (:func:`merge_weekly_pairs`).  The concatenation-shaped views
+    (index groupings, per-family series, scan events) stay out: they are linear-size and assembled once
     during finalisation instead of being copied at every combine.
     """
 

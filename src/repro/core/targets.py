@@ -108,27 +108,26 @@ def organization_affinity(
     if (year is None) != (month is None):
         raise ValueError("pass both year and month, or neither")
     if year is not None:
-        month_tags = np.array(
-            [
-                (d.year, d.month)
-                for d in (
-                    datetime.fromtimestamp(ts, tz=timezone.utc) for ts in ds.start[idx]
-                )
-            ]
-        )
-        keep = (month_tags[:, 0] == year) & (month_tags[:, 1] == month)
-        idx = idx[keep]
+        idx = idx[_in_month(ds.start[idx], year, month)]
         if idx.size == 0:
             return []
     targets = ds.target_idx[idx]
     orgs = ds.victims.org_idx[targets]
     uniq, counts = np.unique(orgs, return_counts=True)
+    # Distinct targets per organization: one sort of the (org, target)
+    # pairs; the unique pairs come out org-major, aligned with ``uniq``.
+    order = np.lexsort((targets, orgs))
+    o_sorted = orgs[order]
+    t_sorted = targets[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = (o_sorted[1:] != o_sorted[:-1]) | (t_sorted[1:] != t_sorted[:-1])
+    n_targets = np.unique(o_sorted[first], return_counts=True)[1]
     spots = []
-    for org_index, count in zip(uniq, counts):
+    for org_index, count, n_tgt in zip(uniq, counts, n_targets):
         org = ds.world.organizations[int(org_index)]
         city = ds.world.cities[org.city_index]
         country = ds.world.countries[org.country_index]
-        n_targets = int(np.unique(targets[orgs == org_index]).size)
         spots.append(
             OrganizationSpot(
                 organization=org.name,
@@ -138,11 +137,41 @@ def organization_affinity(
                 lat=city.lat,
                 lon=city.lon,
                 attack_count=int(count),
-                n_targets=n_targets,
+                n_targets=int(n_tgt),
             )
         )
     spots.sort(key=lambda s: (-s.attack_count, s.organization))
     return spots
+
+
+#: Starts closer than this to a month edge take the ``datetime`` path.
+_EDGE_SECONDS = 1e-6
+
+
+def _in_month(starts: np.ndarray, year: int, month: int) -> np.ndarray:
+    """Mask of the starts that fall in one UTC calendar month.
+
+    The month is the one ``datetime.fromtimestamp(ts, tz=utc)`` reports,
+    which rounds ``ts`` to the microsecond: a start half a microsecond
+    before the 1st counts in the new month.  Starts are compared as
+    floats against the month's UTC edges, and only those within
+    :data:`_EDGE_SECONDS` of an edge go through ``fromtimestamp``, so the
+    mask matches the per-row conversion exactly.
+    """
+    try:
+        lo = datetime(year, month, 1, tzinfo=timezone.utc).timestamp()
+        nxt = (year + 1, 1) if month == 12 else (year, month + 1)
+        hi = datetime(*nxt, 1, tzinfo=timezone.utc).timestamp()
+    except (ValueError, OverflowError):  # no such month: nothing falls in it
+        return np.zeros(starts.size, dtype=bool)
+    keep = (starts >= lo) & (starts < hi)
+    near = np.flatnonzero(
+        (np.abs(starts - lo) < _EDGE_SECONDS) | (np.abs(starts - hi) < _EDGE_SECONDS)
+    )
+    for i in near:
+        d = datetime.fromtimestamp(float(starts[i]), tz=timezone.utc)
+        keep[i] = (d.year, d.month) == (year, month)
+    return keep
 
 
 def victim_org_types(source: AnalysisSource) -> dict[str, int]:

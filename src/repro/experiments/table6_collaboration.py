@@ -21,10 +21,9 @@ PAPER_TABLE6 = {
 
 def run(source: AnalysisSource) -> ExperimentResult:
     ctx = AnalysisContext.of(source)
-    ds = ctx.dataset
     result = ExperimentResult("table6_collaboration")
     events = detect_collaborations(ctx)
-    table = collaboration_table(ds, events)
+    table = collaboration_table(ctx, events)
     for family, (paper_intra, paper_inter) in PAPER_TABLE6.items():
         if family not in table:
             continue

@@ -86,6 +86,30 @@ def merge_intervals(
     return np.concatenate(pieces)
 
 
+def merge_weekly_pairs(
+    parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union per-shard ``(weeks_u, u_week, u_bot)`` tables by a full re-sort.
+
+    Concatenates every part, lexsorts all pairs and de-duplicates, which
+    reproduces the global sorted-unique pair table for parts in any
+    order.  The shipped :func:`repro.core.merge.merge_weekly_pairs`
+    sorts only the seam rows and is pinned equal to this.
+    """
+    weeks_u = np.unique(np.concatenate([p[0] for p in parts]))
+    cw = np.concatenate([p[1] for p in parts])
+    cb = np.concatenate([p[2] for p in parts])
+    if cw.size == 0:
+        return weeks_u, cw, cb
+    order = np.lexsort((cb, cw))
+    w_sorted = cw[order]
+    b_sorted = cb[order]
+    first = np.empty(w_sorted.size, dtype=bool)
+    first[0] = True
+    first[1:] = (w_sorted[1:] != w_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
+    return weeks_u, w_sorted[first], b_sorted[first]
+
+
 def merge_daily_distributions(
     parts: Sequence[DailyDistribution], ds, family: str | None
 ) -> DailyDistribution:
@@ -342,7 +366,7 @@ def merged_reference(sctx: ShardedAnalysisContext) -> AnalysisContext:
                 [c.daily_distribution(family) for c in here], ds, family
             ),
         )
-        pairs = merge.merge_weekly_pairs(
+        pairs = merge_weekly_pairs(
             [c.weekly_shift_pairs(family) for c in here]
         )
         seed(("weekly_shift_pairs", family), pairs)
